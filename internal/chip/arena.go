@@ -3,6 +3,7 @@ package chip
 import (
 	"math"
 	"math/bits"
+	"sync"
 
 	"dramscope/internal/sim"
 )
@@ -13,15 +14,23 @@ import (
 // # Arena
 //
 // Row state lives in per-bank chunked arenas instead of one heap
-// allocation per touched wordline: rowState records come from
-// stateChunks and every record's charge words are a sub-slice of the
-// matching slabChunks entry. Chunks are appended, never reallocated,
-// so *rowState pointers stay stable for the chip's lifetime; Reset
-// recycles records by clearing the used slab prefix (a handful of
-// memclears) and handing slots out again in order. Besides making
-// Reset cheap, the slab keeps the charge words of consecutively
-// touched rows contiguous, which is what the retention-scan, RowCopy,
-// and RD/WR gather/scatter kernels walk.
+// allocation per touched wordline: rowState records come from arena
+// chunks, and every record's charge words are a sub-slice of its
+// chunk's slab. Chunks are appended, never reallocated, so *rowState
+// pointers stay stable until Reset; Reset recycles records by
+// clearing the used slab prefix (a handful of memclears) and handing
+// slots out again in order. Besides making Reset cheap, the slab
+// keeps the charge words of consecutively touched rows contiguous,
+// which is what the retention-scan, RowCopy, and RD/WR gather/scatter
+// kernels walk.
+//
+// Chunks outlive their chip: Recycle resets the chip and hands its
+// chunks to a process-wide pool keyed by row width, and rowStateFor
+// draws from that pool before allocating. A pooled chunk is entirely
+// zero (Reset cleared every used slab prefix, and the rest was never
+// written since its last clear) and every record is overwritten when
+// handed out, so a chip built from recycled chunks cannot be told
+// apart from one built from fresh memory.
 //
 // # Flip-threshold tables
 //
@@ -39,6 +48,27 @@ import (
 // are small enough that a sparsely used bank wastes little and large
 // enough that Reset is a handful of memclears, not thousands.
 const arenaChunkRows = 64
+
+// arenaChunk is one arena allocation unit: arenaChunkRows rowState
+// records and the charge words they slice, arenaChunkRows*words long.
+type arenaChunk struct {
+	states [arenaChunkRows]rowState
+	slab   []uint64
+}
+
+// arenaPools maps a row width in words to the *sync.Pool of cleared
+// *arenaChunk values of that width, shared by every chip in the
+// process.
+var arenaPools sync.Map
+
+// arenaPool returns the process-wide chunk pool for one row width.
+func arenaPool(words int) *sync.Pool {
+	if p, ok := arenaPools.Load(words); ok {
+		return p.(*sync.Pool)
+	}
+	p, _ := arenaPools.LoadOrStore(words, new(sync.Pool))
+	return p.(*sync.Pool)
+}
 
 // flipTabMargin pads the conservative per-cell stress bound used to
 // skip non-candidate cells. The true per-cell stress is bounded by
@@ -65,25 +95,45 @@ type retTab struct {
 
 // rowStateFor returns (creating lazily) the state of a wordline
 // WITHOUT materializing pending faults. Callers on the access path
-// must use materialize instead.
+// must use materialize instead. The first row state a bank ever needs
+// allocates the bank's dense per-wordline arrays: every path that
+// reads them (activate, pulse, precharge of an open row) reaches
+// rowStateFor first.
 func (c *Chip) rowStateFor(b *bank, wl int) *rowState {
+	if b.rows == nil {
+		b.allocWordlines(c.topo.PhysRows())
+	}
 	rs := b.rows[wl]
 	if rs == nil {
 		ci, ri := b.inUse/arenaChunkRows, b.inUse%arenaChunkRows
-		if ci == len(b.stateChunks) {
-			b.stateChunks = append(b.stateChunks, make([]rowState, arenaChunkRows))
-			b.slabChunks = append(b.slabChunks, make([]uint64, arenaChunkRows*c.words))
+		if ci == len(b.chunks) {
+			ch, _ := c.arenas.Get().(*arenaChunk)
+			if ch == nil {
+				ch = &arenaChunk{slab: make([]uint64, arenaChunkRows*c.words)}
+			}
+			b.chunks = append(b.chunks, ch)
 		}
-		rs = &b.stateChunks[ci][ri]
-		slab := b.slabChunks[ci]
+		ch := b.chunks[ci]
+		rs = &ch.states[ri]
 		// The charge words were cleared by Reset (or are fresh), so
 		// only the snapshot metadata needs zeroing.
-		*rs = rowState{charge: slab[ri*c.words : (ri+1)*c.words : (ri+1)*c.words]}
+		*rs = rowState{charge: ch.slab[ri*c.words : (ri+1)*c.words : (ri+1)*c.words]}
 		b.inUse++
 		b.rows[wl] = rs
 		b.touched = append(b.touched, int32(wl))
 	}
 	return rs
+}
+
+// allocWordlines builds a bank's dense per-wordline arrays on its
+// first touch; most experiments drive one bank of many.
+func (b *bank) allocWordlines(physRows int) {
+	b.rows = make([]*rowState, physRows)
+	b.acts = make([]int64, physRows)
+	b.press = make([]float64, physRows)
+	b.uTabs = make([]*uTab, physRows)
+	b.retTabs = make([]*retTab, physRows)
+	b.retSeen = make([]uint8, physRows)
 }
 
 // resetArena recycles a bank's row state: the used slab prefix is
@@ -92,12 +142,28 @@ func (c *Chip) rowStateFor(b *bank, wl int) *rowState {
 func (b *bank) resetArena(words int) {
 	full, rem := b.inUse/arenaChunkRows, b.inUse%arenaChunkRows
 	for i := 0; i < full; i++ {
-		clear(b.slabChunks[i])
+		clear(b.chunks[i].slab)
 	}
 	if rem > 0 {
-		clear(b.slabChunks[full][:rem*words])
+		clear(b.chunks[full].slab[:rem*words])
 	}
 	b.inUse = 0
+}
+
+// Recycle resets the chip and returns its row-state arenas to the
+// process-wide pool, where the next chip of the same row width draws
+// them instead of allocating. The chip's final owner calls it; the
+// chip stays usable, behaving like a fresh one that allocates again
+// on use.
+func (c *Chip) Recycle() {
+	c.Reset()
+	for _, b := range c.banks {
+		for i, ch := range b.chunks {
+			c.arenas.Put(ch)
+			b.chunks[i] = nil
+		}
+		b.chunks = b.chunks[:0]
+	}
 }
 
 // uTabFor returns the wordline's cached uniform draws, building them

@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"dramscope/internal/faults"
 	"dramscope/internal/geom"
@@ -73,6 +74,10 @@ type Chip struct {
 	// row is scanned, because a cell's neighborhood reads the pre-flip
 	// charges of adjacent cells.
 	flipMask []uint64
+
+	// arenas is the process-wide pool of cleared arena chunks of this
+	// chip's row width (see arena.go).
+	arenas *sync.Pool
 }
 
 type bank struct {
@@ -83,9 +88,10 @@ type bank struct {
 	latchWL   int      // wordline whose charge the bitlines still hold, or -1
 	latch     []uint64 // bitline charge snapshot taken at PRE
 
-	// Per-wordline bookkeeping, dense-indexed by physical wordline.
-	// touched lists the wordlines holding state (insertion order), so
-	// refresh and Reset walk only what was used.
+	// Per-wordline bookkeeping, dense-indexed by physical wordline and
+	// allocated on the bank's first touch (allocWordlines). touched
+	// lists the wordlines holding state (insertion order), so refresh
+	// and Reset walk only what was used.
 	rows    []*rowState
 	acts    []int64   // cumulative activations per wordline
 	press   []float64 // cumulative over-tRAS on-time per wordline (ps)
@@ -94,9 +100,8 @@ type bank struct {
 	// Chunked row-state arena (see arena.go): records and their charge
 	// slabs are handed out in touch order and recycled wholesale by
 	// Reset. inUse counts records handed out since the last Reset.
-	stateChunks [][]rowState
-	slabChunks  [][]uint64
-	inUse       int
+	chunks []*arenaChunk
+	inUse  int
 
 	// Flip-threshold caches, dense-indexed by physical wordline. The
 	// cached draws are pure in (seed, bank, wl), so they survive Reset
@@ -139,24 +144,18 @@ func New(prof topo.Profile, seed uint64) (*Chip, error) {
 		maxHammerF: fp.MaxHammerFactor(),
 		maxPressF:  fp.MaxPressFactor(),
 		retMin:     sim.Time(fp.RetentionMinSec * float64(sim.Second)),
+		arenas:     arenaPool(prof.RowBits / 64),
 	}
 	if prof.RowBits%64 != 0 {
 		return nil, fmt.Errorf("chip: RowBits %d is not word-aligned", prof.RowBits)
 	}
 	c.flipMask = make([]uint64, c.words)
-	physRows := t.PhysRows()
 	for i := 0; i < prof.Banks; i++ {
 		c.banks = append(c.banks, &bank{
 			openWL:  -1,
 			latchWL: -1,
 			lastPre: math.MinInt64 / 2,
 			latch:   make([]uint64, c.words),
-			rows:    make([]*rowState, physRows),
-			acts:    make([]int64, physRows),
-			press:   make([]float64, physRows),
-			uTabs:   make([]*uTab, physRows),
-			retTabs: make([]*retTab, physRows),
-			retSeen: make([]uint8, physRows),
 		})
 	}
 	c.physTab = make([][]int32, cm.Halves())
@@ -919,11 +918,10 @@ func (c *Chip) applyRetention(bankID int, b *bank, rs *rowState, wl int, elapsed
 // only; probes must use RD.
 func (c *Chip) InspectCharge(bankID, wl, x int) bool {
 	b := c.banks[bankID]
-	rs := b.rows[wl]
-	if rs == nil {
+	if b.rows == nil || b.rows[wl] == nil {
 		return false
 	}
-	return getBit(rs.charge, x)
+	return getBit(b.rows[wl].charge, x)
 }
 
 // TouchedRows returns how many wordlines hold state in a bank.

@@ -215,6 +215,11 @@ func (c *Campaign) Run(opt CampaignOptions) (*CampaignReport, error) {
 				if opt.OnRun != nil {
 					opt.OnRun(i, len(resolved), res)
 				}
+				// The result is recorded: recycle the member's devices
+				// and drop its suite, so a campaign holds only the
+				// suites still running.
+				suites[i].Release()
+				suites[i] = nil
 			}()
 			// Store memoization: a persisted report for this canonical
 			// spec is the run, byte for byte — no token, no suite.

@@ -186,6 +186,19 @@ func (e *Env) Release() {
 	e.Host = nil
 }
 
+// recycleDevices returns the arena memory of a root Env's device and
+// of every clone device parked in its pool to the process-wide chunk
+// pool (chip.Recycle). The parked clones are dropped; the Env's own
+// device is Reset but kept, so its Host's command totals stay
+// readable. Only the final owner may call it, after every clone is
+// released.
+func (e *Env) recycleDevices() {
+	for v := e.pool.Get(); v != nil; v = e.pool.Get() {
+		v.(*chip.Chip).Recycle()
+	}
+	e.Chip.Recycle()
+}
+
 // Order runs (and caches) the row-order probe.
 func (e *Env) Order() (*core.RowOrder, error) {
 	return e.order.get(func() (*core.RowOrder, error) {

@@ -97,6 +97,40 @@ func TestGoldenSuiteReport(t *testing.T) {
 	if raceEnabled {
 		t.Skip("full suite under -race exceeds the CI budget; the cross-shard race job covers concurrency")
 	}
+	assertGoldenSuite(t)
+}
+
+// TestGoldenSuiteAfterRelease: a suite whose devices are built from
+// arena memory another suite released — the campaign executor's and
+// the service's steady state — still reproduces the fixture byte for
+// byte.
+func TestGoldenSuiteAfterRelease(t *testing.T) {
+	t.Parallel()
+	if testing.Short() {
+		t.Skip("full-suite run")
+	}
+	if raceEnabled {
+		t.Skip("full suite under -race exceeds the CI budget; TestSuiteReleaseAfterCancel runs under -race")
+	}
+	prior, err := DefaultSuite(DefaultFigProfile, DefaultSeed+1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := prior.Run(Options{Spec: RunSpec{Only: []string{"recover"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	prior.Release()
+	assertGoldenSuite(t)
+}
+
+// assertGoldenSuite runs the default suite and byte-compares its report
+// with testdata/suite_report.json.
+func assertGoldenSuite(t *testing.T) {
+	t.Helper()
 	want, err := os.ReadFile("testdata/suite_report.json")
 	if err != nil {
 		t.Fatalf("missing fixture (run `make golden`): %v", err)

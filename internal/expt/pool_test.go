@@ -1,6 +1,9 @@
 package expt
 
 import (
+	"bytes"
+	"context"
+	"fmt"
 	"testing"
 
 	"dramscope/internal/topo"
@@ -149,5 +152,64 @@ func BenchmarkEnvClone(b *testing.B) {
 			b.Fatal(err)
 		}
 		c.Release()
+	}
+}
+
+// A run canceled mid-flight is released like a finished one: Run has
+// waited for every node, so Release races with nothing (the race lane
+// runs this), and the out-of-band cost figures survive it.
+func TestSuiteReleaseAfterCancel(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s := NewSuite(5)
+	s.RegisterProfile(topo.Small())
+	dev := topo.Small().Name
+	for i := 0; i < 6; i++ {
+		i := i
+		err := s.Register(Experiment{
+			Name: fmt.Sprintf("m%d", i), Title: "measure",
+			Needs: Needs{Device: dev, Probe: ProbeSubarrays},
+			Run: func(j *Job) error {
+				if i == 2 {
+					cancel()
+				}
+				return j.Env().Host.FillRow(0, 10+i, 0xabcdef)
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := s.Run(Options{Context: ctx, Spec: RunSpec{Jobs: 2}}); err != nil {
+		t.Fatal(err)
+	}
+	if ctx.Err() == nil {
+		t.Fatal("the run was not canceled")
+	}
+	cost, used := s.ProbeCost(), s.ActivationsUsed()
+	if cost.ACT == 0 || used == 0 {
+		t.Fatalf("probe cost %+v, activations %d: the run did no device work", cost, used)
+	}
+	s.Release()
+	if got := s.ProbeCost(); got != cost {
+		t.Errorf("ProbeCost after Release = %+v, want %+v", got, cost)
+	}
+	if got := s.ActivationsUsed(); got != used {
+		t.Errorf("ActivationsUsed after Release = %d, want %d", got, used)
+	}
+
+	// A suite built from the released memory reports what a suite built
+	// from fresh memory does.
+	want := runSmall(t, 9, 2, nil)
+	again := smallSuite(t, 9, nil)
+	rep, err := again.Run(Options{Spec: RunSpec{Jobs: 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	again.Release()
+	a, _ := want.JSON()
+	b, _ := rep.JSON()
+	if !bytes.Equal(a, b) {
+		t.Fatalf("suite after Release reported\n%s\nwant\n%s", b, a)
 	}
 }

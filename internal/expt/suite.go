@@ -478,6 +478,21 @@ func (s *Suite) ProbeCost() host.Counters {
 	return total
 }
 
+// Release returns the device memory of every shared Env the run
+// created, and of every clone device pooled behind them, to the
+// process-wide arena pool, where the next suite's devices draw it
+// instead of allocating. Like Env.Release, only the final owner calls
+// it, and only after Run has returned (Run waits for every node, so no
+// device is still in use). ProbeCost and ActivationsUsed stay valid;
+// the report Run returned never referenced device memory.
+func (s *Suite) Release() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, e := range s.envs {
+		e.recycleDevices()
+	}
+}
+
 // chargeActs adds delta metered activations and reports the budget
 // error once the cap is crossed (nil when no cap is set). The Used
 // value is the meter at the time of this charge, so on a serial chain

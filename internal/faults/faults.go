@@ -177,20 +177,28 @@ func (p Params) Validate() error {
 		"HammerMinStress": p.HammerMinStress, "PressMinStress": p.PressMinStress,
 	}
 	for name, v := range pos {
-		if v <= 0 {
-			return fmt.Errorf("faults: %s must be positive, got %v", name, v)
+		if !positiveFinite(v) {
+			return fmt.Errorf("faults: %s must be positive and finite, got %v", name, v)
 		}
 	}
-	if p.RetentionMaxSec < p.RetentionMinSec {
-		return fmt.Errorf("faults: retention bounds inverted")
+	if !positiveFinite(p.RetentionMaxSec) || p.RetentionMaxSec < p.RetentionMinSec {
+		return fmt.Errorf("faults: retention bounds must be finite and ordered, got [%v, %v]",
+			p.RetentionMinSec, p.RetentionMaxSec)
 	}
 	for _, pair := range [][2]float64{p.HammerRate, p.VicBoost1, p.VicBoost2,
 		p.AggrDamp0, p.AggrDamp1, p.AggrDamp2, p.CrossBoost2, p.EdgeDamp} {
-		if pair[0] <= 0 || pair[1] <= 0 {
-			return fmt.Errorf("faults: factor pairs must be positive, got %v", pair)
+		if !positiveFinite(pair[0]) || !positiveFinite(pair[1]) {
+			return fmt.Errorf("faults: factor pairs must be positive and finite, got %v", pair)
 		}
 	}
 	return nil
+}
+
+// positiveFinite rejects zero, negatives, NaN and +Inf alike: a
+// non-finite parameter reaches the log-uniform and threshold draws,
+// which cannot represent it.
+func positiveFinite(v float64) bool {
+	return v > 0 && !math.IsInf(v, 1)
 }
 
 // Neighborhood captures everything the hammer factor depends on for

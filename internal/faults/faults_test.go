@@ -49,6 +49,14 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		func(p *Params) { p.PressS0 = 0 },
 		func(p *Params) { p.RetentionMaxSec = p.RetentionMinSec / 2 },
 		func(p *Params) { p.VicBoost2 = [2]float64{0, 1} },
+		// Non-finite values once passed and hung the log-uniform draw.
+		func(p *Params) { p.BaseScale = math.NaN() },
+		func(p *Params) { p.HammerN0 = math.Inf(1) },
+		func(p *Params) { p.RetentionMinSec = math.NaN() },
+		func(p *Params) { p.RetentionMaxSec = math.Inf(1) },
+		func(p *Params) { p.RetentionMaxSec = math.NaN() },
+		func(p *Params) { p.EdgeDamp = [2]float64{math.Inf(1), 1} },
+		func(p *Params) { p.CrossBoost2 = [2]float64{1, math.NaN()} },
 	}
 	for i, m := range muts {
 		p := params()

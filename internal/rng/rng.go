@@ -8,6 +8,8 @@
 // two devices built from the same profile and seed bit-identical.
 package rng
 
+import "math"
+
 // splitmix64 is the finalizer from the SplitMix64 generator
 // (Steele et al., "Fast Splittable Pseudorandom Number Generators").
 // It is a strong 64-bit mixer: every input bit affects every output
@@ -80,20 +82,20 @@ func Uniform(words ...uint64) float64 {
 // distribution over [lo, hi]. It is used for retention times, which
 // span several orders of magnitude across cells in real DRAM.
 func LogUniform(lo, hi float64, words ...uint64) float64 {
-	if lo <= 0 || hi < lo {
-		panic("rng: LogUniform requires 0 < lo <= hi")
+	// Negated comparisons so NaN bounds fail too.
+	if !(lo > 0) || !(hi >= lo) || hi > math.MaxFloat64 {
+		panic("rng: LogUniform requires finite 0 < lo <= hi")
 	}
 	u := Uniform(words...)
-	// exp(log lo + u*(log hi - log lo)) without importing math:
-	// we keep math out of the hot path by using the identity
-	// lo * (hi/lo)^u, computed via repeated squaring on the exponent.
+	// exp(log lo + u*(log hi - log lo)) as lo * (hi/lo)^u, through
+	// the local powf.
 	return lo * powf(hi/lo, u)
 }
 
 // powf computes base**exp for base > 0 using the standard
-// exp(exp*ln(base)) decomposition. Implemented locally (stdlib math is
-// fine to import, but keeping the dependency explicit and tiny makes
-// the function easy to test in isolation).
+// exp(exp*ln(base)) decomposition. Implemented locally: the fault
+// draws, and with them every report byte, are defined by these
+// approximations, not by the math package's.
 func powf(base, exp float64) float64 {
 	return expf(exp * lnf(base))
 }
@@ -101,8 +103,10 @@ func powf(base, exp float64) float64 {
 // lnf is a natural-log approximation accurate to ~1e-12 over the range
 // used by the fault models (1e-6 .. 1e12). It reduces the argument to
 // [1, 2) via exponent extraction and evaluates atanh-based series.
+// It fails closed on NaN and +Inf, which the halving loop below would
+// never reduce.
 func lnf(x float64) float64 {
-	if x <= 0 {
+	if !(x > 0) || x > math.MaxFloat64 {
 		panic("rng: lnf domain")
 	}
 	// Scale x into [1,2) by powers of two, counting the exponent.
@@ -128,8 +132,19 @@ func lnf(x float64) float64 {
 	return 2*sum + float64(k)*ln2
 }
 
-// expf is an exponential approximation matching lnf's accuracy.
+// expf is an exponential approximation matching lnf's accuracy. It
+// fails closed on NaN and ±Inf, and saturates beyond |x| > 1000, where
+// the 2^k scaling below over- or underflows anyway (|k| > 1400) but
+// would loop k times — forever once k no longer fits an int.
 func expf(x float64) float64 {
+	switch {
+	case x != x || math.IsInf(x, 0):
+		panic("rng: expf domain")
+	case x > 1000:
+		return math.Inf(1)
+	case x < -1000:
+		return 0
+	}
 	const ln2 = 0.6931471805599453
 	// Range-reduce: x = k*ln2 + r with |r| <= ln2/2.
 	k := int(x/ln2 + 0.5)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestHashDeterministic(t *testing.T) {
@@ -190,6 +191,60 @@ func TestLogUniformPanics(t *testing.T) {
 		}
 	}()
 	LogUniform(-1, 1, 0)
+}
+
+// Non-finite bounds once hung LogUniform (lnf halved +Inf forever);
+// every one must now fail closed, promptly.
+func TestLogUniformNonFiniteReturns(t *testing.T) {
+	for _, b := range [][2]float64{
+		{1, math.Inf(1)}, {1, math.NaN()}, {math.NaN(), 2}, {math.Inf(1), math.Inf(1)},
+	} {
+		done := make(chan interface{}, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			LogUniform(b[0], b[1], 7)
+		}()
+		select {
+		case p := <-done:
+			if p == nil {
+				t.Errorf("LogUniform(%v, %v) returned a value, want a domain panic", b[0], b[1])
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("LogUniform(%v, %v) did not return", b[0], b[1])
+		}
+	}
+}
+
+// lnf and expf fail closed on non-finite input, and expf saturates on
+// huge finite input exactly where its scaling loop over- or
+// underflowed before.
+func TestLnfExpfNonFinite(t *testing.T) {
+	for _, f := range []func(){
+		func() { lnf(math.Inf(1)) },
+		func() { lnf(math.NaN()) },
+		func() { expf(math.Inf(1)) },
+		func() { expf(math.Inf(-1)) },
+		func() { expf(math.NaN()) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("want a domain panic on non-finite input")
+				}
+			}()
+			f()
+		}()
+	}
+	for _, x := range []float64{710, 1000.5, 1e18, math.MaxFloat64} {
+		if got := expf(x); !math.IsInf(got, 1) {
+			t.Errorf("expf(%v) = %v, want +Inf", x, got)
+		}
+	}
+	for _, x := range []float64{-750, -1000.5, -1e18, -math.MaxFloat64} {
+		if got := expf(x); got != 0 {
+			t.Errorf("expf(%v) = %v, want 0", x, got)
+		}
+	}
 }
 
 func TestLnfAgainstMath(t *testing.T) {

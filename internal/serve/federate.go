@@ -67,9 +67,11 @@ type fedWorker struct {
 	client *dispatch.Client
 
 	// The placement state below is guarded by Federator.mu.
-	inflight  int       // members currently dispatched to this node
-	capacity  int       // admission capacity from /metrics; 0 = unprobed
-	downUntil time.Time // faulted: out of placement until this instant
+	inflight   int           // members currently dispatched to this node
+	capacity   int           // admission capacity from /metrics; 0 = unprobed
+	probing    chan struct{} // closed when the in-flight capacity probe ends; nil if none runs
+	downUntil  time.Time     // faulted: out of placement until this instant
+	remoteDone int64         // members finished clean on this node
 }
 
 // Federator shards admitted executions across worker nodes.
@@ -91,7 +93,6 @@ type Federator struct {
 	pick func(eligible []*fedWorker) *fedWorker
 
 	dispatched    atomic.Int64 // placement attempts (every member-to-worker offer)
-	remoteDone    atomic.Int64 // members finished clean on a worker
 	remoteFailed  atomic.Int64 // members finished failed (deterministically) on a worker
 	retried       atomic.Int64 // re-dispatches after a worker fault
 	stolen        atomic.Int64 // re-dispatches after a member timeout
@@ -104,6 +105,12 @@ type Federator struct {
 // errNoWorkers: every worker is down, at capacity, or already faulted
 // on this member — the caller runs the member locally.
 var errNoWorkers = errors.New("serve: no federated worker available")
+
+// probeTimeout bounds one capacity probe. Placements wait on a
+// worker's probe, so a node that accepts the connection and never
+// answers must not hold them forever; it is benched like any other
+// failed probe.
+const probeTimeout = 10 * time.Second
 
 // NewFederator builds a dispatcher over the given worker base URLs.
 func NewFederator(opts FederationOptions) *Federator {
@@ -205,6 +212,9 @@ func (f *Federator) Execute(ctx context.Context, rs *expt.ResolvedSpec) (*remote
 		}
 		w := f.pickWorker(ctx, tried)
 		if w == nil {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
 			return nil, errNoWorkers
 		}
 		f.dispatched.Add(1)
@@ -221,7 +231,9 @@ func (f *Federator) Execute(ctx context.Context, rs *expt.ResolvedSpec) (*remote
 		switch verdict {
 		case fedOK:
 			if res.state == StateDone {
-				f.remoteDone.Add(1)
+				f.mu.Lock()
+				w.remoteDone++
+				f.mu.Unlock()
 			} else {
 				f.remoteFailed.Add(1)
 			}
@@ -241,49 +253,70 @@ func (f *Federator) Execute(ctx context.Context, rs *expt.ResolvedSpec) (*remote
 	}
 }
 
-// pickWorker claims the next eligible worker (not tried for this
-// member, not cooling down after a fault), probing a node's admission
-// capacity on first contact. nil means no node is placeable.
+// pickWorker claims the next eligible worker: not tried for this
+// member, not cooling down after a fault. Placement balances on real
+// free capacity, so every eligible node that has not been probed yet
+// learns its admission capacity from /metrics before pick runs. At
+// most one probe per node is in flight; concurrent placements wait for
+// it instead of piling onto whichever node answered first, and a
+// failed probe benches the node. nil means no node is placeable or
+// ctx ended while waiting.
 func (f *Federator) pickWorker(ctx context.Context, tried map[string]bool) *fedWorker {
 	for {
 		f.mu.Lock()
 		now := time.Now()
 		var eligible []*fedWorker
+		var probes []chan struct{}
 		for _, w := range f.workers {
 			if tried[w.url] || now.Before(w.downUntil) {
 				continue
 			}
+			if w.capacity == 0 {
+				if w.probing == nil {
+					w.probing = make(chan struct{})
+					go f.probe(w)
+				}
+				probes = append(probes, w.probing)
+				continue
+			}
 			eligible = append(eligible, w)
 		}
-		if len(eligible) == 0 {
+		if len(probes) == 0 {
+			var w *fedWorker
+			if len(eligible) > 0 {
+				w = f.pick(eligible)
+				w.inflight++
+			}
 			f.mu.Unlock()
-			return nil
-		}
-		w := f.pick(eligible)
-		w.inflight++
-		probe := w.capacity == 0
-		f.mu.Unlock()
-		if !probe {
 			return w
 		}
-		// First contact: learn the node's admission capacity from its
-		// /metrics. An unreachable node faults here, before any member
-		// state exists.
-		capacity, err := w.client.Capacity(ctx)
-		if err != nil {
-			f.done(w)
-			f.markDown(w)
-			tried[w.url] = true
-			continue
-		}
-		if capacity < 1 {
-			capacity = 1
-		}
-		f.mu.Lock()
-		w.capacity = capacity
 		f.mu.Unlock()
-		return w
+		for _, done := range probes {
+			select {
+			case <-done:
+			case <-ctx.Done():
+				return nil
+			}
+		}
 	}
+}
+
+// probe learns one worker's admission capacity. It is detached from
+// any member's context: every placement waiting on it shares the
+// answer, so one member's cancellation must not bench a healthy node.
+func (f *Federator) probe(w *fedWorker) {
+	ctx, cancel := context.WithTimeout(context.Background(), probeTimeout)
+	defer cancel()
+	capacity, err := w.client.Capacity(ctx)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if err != nil {
+		w.downUntil = time.Now().Add(f.opts.Cooldown)
+	} else {
+		w.capacity = max(capacity, 1)
+	}
+	close(w.probing)
+	w.probing = nil
 }
 
 // done returns a worker's placement slot.
@@ -427,7 +460,6 @@ func (f *Federator) cancelRemote(w *fedWorker, id string) {
 func (f *Federator) Snapshot() MetricsFederation {
 	out := MetricsFederation{
 		Dispatched:    f.dispatched.Load(),
-		RemoteDone:    f.remoteDone.Load(),
 		RemoteFailed:  f.remoteFailed.Load(),
 		Retried:       f.retried.Load(),
 		Stolen:        f.stolen.Load(),
@@ -440,6 +472,13 @@ func (f *Federator) Snapshot() MetricsFederation {
 		if !now.Before(w.downUntil) {
 			out.Healthy++
 		}
+		out.RemoteDone += w.remoteDone
+		out.Nodes = append(out.Nodes, MetricsFedNode{
+			URL:        w.url,
+			Capacity:   w.capacity,
+			InFlight:   w.inflight,
+			RemoteDone: w.remoteDone,
+		})
 	}
 	f.mu.Unlock()
 	return out

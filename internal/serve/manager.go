@@ -667,6 +667,8 @@ func (m *Manager) exec(ctx context.Context, r *run, suite *expt.Suite) {
 	r.mu.Lock()
 	r.probeCost = suite.ProbeCost()
 	r.mu.Unlock()
+	// This execution is the suite's final owner: recycle its devices.
+	suite.Release()
 	switch {
 	case err != nil:
 		// Planning/registration failure: nothing ran.

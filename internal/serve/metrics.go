@@ -157,16 +157,28 @@ type Metrics struct {
 // Stolen counts re-dispatches after a member timeout; FallbackLocal
 // counts members no worker could take that executed on the
 // coordinator itself. Healthy is how many workers are currently in
-// placement (not benched by a fault cooldown).
+// placement (not benched by a fault cooldown). Nodes has one row per
+// configured worker, in configuration order.
 type MetricsFederation struct {
-	Workers       int   `json:"workers"`
-	Healthy       int   `json:"healthy"`
-	Dispatched    int64 `json:"dispatched"`
-	RemoteDone    int64 `json:"remoteDone"`
-	RemoteFailed  int64 `json:"remoteFailed"`
-	Retried       int64 `json:"retried"`
-	Stolen        int64 `json:"stolen"`
-	FallbackLocal int64 `json:"fallbackLocal"`
+	Workers       int              `json:"workers"`
+	Healthy       int              `json:"healthy"`
+	Dispatched    int64            `json:"dispatched"`
+	RemoteDone    int64            `json:"remoteDone"`
+	RemoteFailed  int64            `json:"remoteFailed"`
+	Retried       int64            `json:"retried"`
+	Stolen        int64            `json:"stolen"`
+	FallbackLocal int64            `json:"fallbackLocal"`
+	Nodes         []MetricsFedNode `json:"nodes"`
+}
+
+// MetricsFedNode is one worker's placement state: its probed admission
+// capacity (0 = not probed yet), the members dispatched to it right
+// now, and the members it finished clean.
+type MetricsFedNode struct {
+	URL        string `json:"url"`
+	Capacity   int    `json:"capacity"`
+	InFlight   int    `json:"inflight"`
+	RemoteDone int64  `json:"remoteDone"`
 }
 
 // MetricsQueue describes the admission queue and worker pool.

@@ -111,6 +111,22 @@ func renderPrometheus(m Metrics, hist histSnapshot) []byte {
 		counter("dramscope_federation_retried_total", "Re-dispatches after a worker fault.", f.Retried)
 		counter("dramscope_federation_stolen_total", "Re-dispatches after a member timeout.", f.Stolen)
 		counter("dramscope_federation_fallback_local_total", "Members no worker could take, run locally.", f.FallbackLocal)
+		for _, fam := range []struct {
+			name, kind, help string
+			v                func(MetricsFedNode) int64
+		}{
+			{"dramscope_federation_node_capacity", "gauge", "Worker admission capacity from its /metrics (0 = not probed yet).",
+				func(n MetricsFedNode) int64 { return int64(n.Capacity) }},
+			{"dramscope_federation_node_inflight", "gauge", "Members currently dispatched to the worker.",
+				func(n MetricsFedNode) int64 { return int64(n.InFlight) }},
+			{"dramscope_federation_node_remote_done_total", "counter", "Members finished clean on the worker.",
+				func(n MetricsFedNode) int64 { return n.RemoteDone }},
+		} {
+			fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s %s\n", fam.name, fam.help, fam.name, fam.kind)
+			for _, n := range f.Nodes {
+				fmt.Fprintf(&b, "%s{url=%q} %d\n", fam.name, n.URL, fam.v(n))
+			}
+		}
 	}
 	return []byte(b.String())
 }

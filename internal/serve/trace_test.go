@@ -383,7 +383,11 @@ func TestPrometheusRenderGolden(t *testing.T) {
 		Cache: MetricsCache{LRUHits: 20, StoreHits: 10, Entries: 30, HitRate: 0.4},
 		Probe: MetricsProbe{ACT: 1000, PRE: 900, RD: 5000, WR: 4000, REF: 10, ActivationsUsed: 950},
 		Federation: &MetricsFederation{Workers: 3, Healthy: 2, Dispatched: 80, RemoteDone: 70,
-			RemoteFailed: 4, Retried: 6, Stolen: 1, FallbackLocal: 2},
+			RemoteFailed: 4, Retried: 6, Stolen: 1, FallbackLocal: 2, Nodes: []MetricsFedNode{
+				{URL: "http://10.0.0.1:8078", Capacity: 65, InFlight: 2, RemoteDone: 40},
+				{URL: "http://10.0.0.2:8078", Capacity: 0, InFlight: 0, RemoteDone: 0},
+				{URL: "http://10.0.0.3:8078", Capacity: 65, InFlight: 1, RemoteDone: 30},
+			}},
 	}
 	hist := histSnapshot{
 		bounds: []float64{1, 10, 100, 1000},
